@@ -4,18 +4,22 @@ namespace imp {
 
 bool StatelessChain::Replay(const Tuple& base_row, Tuple* out) const {
   if (scan_filter && !scan_filter->Eval(base_row).IsTrue()) return false;
-  Tuple current = base_row;
+  // Steps read the base row in place until a projection produces a row of
+  // its own, so a projected chain copies no full-width row.
+  const Tuple* current = &base_row;
+  Tuple projected;
   for (const ChainStep& step : steps) {
     if (step.is_filter) {
-      if (!step.predicate->Eval(current).IsTrue()) return false;
+      if (!step.predicate->Eval(*current).IsTrue()) return false;
     } else {
-      Tuple projected;
-      projected.reserve(step.exprs.size());
-      for (const ExprPtr& e : step.exprs) projected.push_back(e->Eval(current));
-      current = std::move(projected);
+      Tuple next;
+      next.reserve(step.exprs.size());
+      for (const ExprPtr& e : step.exprs) next.push_back(e->Eval(*current));
+      projected = std::move(next);
+      current = &projected;
     }
   }
-  *out = std::move(current);
+  *out = current == &base_row ? base_row : std::move(projected);
   return true;
 }
 

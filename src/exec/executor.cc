@@ -108,12 +108,24 @@ Result<Relation> Executor::Execute(const PlanPtr& plan) const {
   return Status::Internal("unknown plan kind");
 }
 
-Result<Relation> Executor::ExecScan(const ScanNode& node) const {
+Result<Relation> Executor::ExecScan(const ScanNode& node,
+                                    const std::vector<size_t>* cols) const {
   Relation out;
   out.schema = node.output_schema();
   auto filter = node.filter();
   PredicateKernel kernel;
   if (filter && vectorized_) kernel = PredicateKernel::Compile(filter);
+  // The emitted form of a full-width row: itself, or its `cols` cells.
+  auto emit = [&](Tuple row) {
+    if (cols == nullptr) {
+      out.rows.push_back(std::move(row));
+      return;
+    }
+    Tuple narrow;
+    narrow.reserve(cols->size());
+    for (size_t c : *cols) narrow.push_back(row[c]);
+    out.rows.push_back(std::move(narrow));
+  };
   auto bound = bindings_.find(node.table());
   if (bound != bindings_.end()) {
     const std::vector<Tuple>& rows = bound->second->rows;
@@ -122,11 +134,11 @@ Result<Relation> Executor::ExecScan(const ScanNode& node) const {
       kernel.Eval(RowBlock::FromTuples(rows.data(), rows.size()), &sel,
                   &scan_stats_.vectorized_batches,
                   &scan_stats_.scalar_fallback_rows);
-      sel.ForEachSetBit([&](size_t i) { out.rows.push_back(rows[i]); });
+      sel.ForEachSetBit([&](size_t i) { emit(rows[i]); });
       return out;
     }
     for (const Tuple& row : rows) {
-      if (!filter || filter->Eval(row).IsTrue()) out.rows.push_back(row);
+      if (!filter || filter->Eval(row).IsTrue()) emit(row);
     }
     return out;
   }
@@ -157,7 +169,7 @@ Result<Relation> Executor::ExecScan(const ScanNode& node) const {
       size_t matched_chunks = 0;
       for (size_t i = 0; i < locs.size(); ++i) {
         if (i == 0 || locs[i].chunk != locs[i - 1].chunk) ++matched_chunks;
-        out.rows.push_back(snap->chunks()[locs[i].chunk]->GetRow(locs[i].row));
+        emit(snap->chunks()[locs[i].chunk]->GetRow(locs[i].row));
       }
       scan_stats_.chunks_scanned += matched_chunks;
       scan_stats_.chunks_skipped += snap->chunks().size() - matched_chunks;
@@ -174,23 +186,26 @@ Result<Relation> Executor::ExecScan(const ScanNode& node) const {
     }
     ++scan_stats_.chunks_scanned;
     scan_stats_.rows_scanned += chunk->num_rows();
-    if (filter && vectorized_) {
+    if (vectorized_ && (filter || cols)) {
       // Kernel path: evaluate the predicate column-at-a-time into a
-      // selection bitvector, then gather the surviving rows
-      // column-at-a-time (one encoding dispatch per column, not per cell).
-      BitVector sel;
-      kernel.Eval(RowBlock::FromChunk(*chunk), &sel,
-                  &scan_stats_.vectorized_batches,
-                  &scan_stats_.scalar_fallback_rows);
-      std::vector<Tuple> gathered = chunk->GatherRows(sel);
+      // selection bitvector, then gather the surviving rows (only the
+      // `cols` columns, when given) column-at-a-time — one encoding
+      // dispatch per column, not per cell.
+      BitVector sel(chunk->num_rows());
+      if (filter) {
+        kernel.Eval(RowBlock::FromChunk(*chunk), &sel,
+                    &scan_stats_.vectorized_batches,
+                    &scan_stats_.scalar_fallback_rows);
+      } else {
+        sel.SetAll();
+      }
+      std::vector<Tuple> gathered = chunk->GatherRows(sel, cols);
       for (Tuple& row : gathered) out.rows.push_back(std::move(row));
       continue;
     }
     for (size_t r = 0; r < chunk->num_rows(); ++r) {
       Tuple row = chunk->GetRow(r);
-      if (!filter || filter->Eval(row).IsTrue()) {
-        out.rows.push_back(std::move(row));
-      }
+      if (!filter || filter->Eval(row).IsTrue()) emit(std::move(row));
     }
   }
   return out;
@@ -217,6 +232,22 @@ Result<Relation> Executor::ExecSelect(const SelectNode& node) const {
 }
 
 Result<Relation> Executor::ExecProject(const ProjectNode& node) const {
+  // A projection of plain column references over a scan (what column
+  // pruning places under joins) gathers just those columns.
+  if (node.child()->kind() == PlanKind::kScan) {
+    std::vector<size_t> cols;
+    for (const ExprPtr& e : node.exprs()) {
+      if (e->kind() != ExprKind::kColumnRef) break;
+      cols.push_back(static_cast<const ColumnRefExpr&>(*e).index());
+    }
+    if (cols.size() == node.exprs().size()) {
+      IMP_ASSIGN_OR_RETURN(
+          Relation out,
+          ExecScan(static_cast<const ScanNode&>(*node.child()), &cols));
+      out.schema = node.output_schema();
+      return out;
+    }
+  }
   IMP_ASSIGN_OR_RETURN(Relation in, Execute(node.child()));
   Relation out;
   out.schema = node.output_schema();

@@ -98,7 +98,11 @@ class Executor {
   RangeIndexMode range_index_mode() const { return range_index_mode_; }
 
  private:
-  Result<Relation> ExecScan(const ScanNode& node) const;
+  /// With `cols`, rows carry only those table columns, in that order (a
+  /// Project of column references fused into the scan: the dropped
+  /// columns are never boxed).
+  Result<Relation> ExecScan(const ScanNode& node,
+                            const std::vector<size_t>* cols = nullptr) const;
   Result<Relation> ExecSelect(const SelectNode& node) const;
   Result<Relation> ExecProject(const ProjectNode& node) const;
   Result<Relation> ExecJoin(const JoinNode& node) const;

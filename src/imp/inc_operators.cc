@@ -60,7 +60,8 @@ bool IncScan::ColumnarSource(const DeltaContext& ctx,
   return true;
 }
 
-Result<AnnotatedRelation> IncScan::Build(const DeltaContext& ctx) {
+Result<AnnotatedRelation> IncScan::BuildColumns(
+    const DeltaContext& ctx, const std::vector<size_t>* cols) const {
   AnnotatedRelation out;
   out.schema = schema_;
   // Read through the round's pinned view (capture at the frozen
@@ -92,6 +93,7 @@ Result<AnnotatedRelation> IncScan::Build(const DeltaContext& ctx) {
         int_bounds.push_back(b.AsInt());
       }
     }
+    const size_t num_fragments = int_bounds.empty() ? 0 : int_bounds.size() - 1;
     // Chunk-at-a-time capture: zone-map pruning in front of the compiled
     // kernel, a column-at-a-time gather of the survivors, then annotation
     // in row order (bit-identical to a GetRow-per-set-bit loop). No
@@ -103,23 +105,21 @@ Result<AnnotatedRelation> IncScan::Build(const DeltaContext& ctx) {
       kernel_.Eval(RowBlock::FromChunk(*chunk), &sel,
                    stats_ ? &stats_->vectorized_batches : nullptr,
                    stats_ ? &stats_->scalar_fallback_rows : nullptr);
-      std::vector<Tuple> gathered = chunk->GatherRows(sel);
-      const ColumnVector* pcol = nullptr;
-      if (!int_bounds.empty()) {
-        const ColumnVector& cand = chunk->column(annot.attr_index());
-        if (cand.encoding() == ColumnVector::Encoding::kInt64) pcol = &cand;
-      }
-      if (pcol != nullptr) {
-        const int64_t* pv = pcol->ints();
-        const size_t num_fragments = int_bounds.size() - 1;
-        size_t gi = 0;
-        sel.ForEachSetBit([&](size_t i) {
-          AnnotatedRow ar;
-          ar.row = std::move(gathered[gi++]);
+      std::vector<Tuple> gathered = chunk->GatherRows(sel, cols);
+      const ColumnVector* pcol =
+          annot.active() ? &chunk->column(annot.attr_index()) : nullptr;
+      const bool raw_ints =
+          pcol != nullptr && !int_bounds.empty() &&
+          pcol->encoding() == ColumnVector::Encoding::kInt64;
+      size_t gi = 0;
+      sel.ForEachSetBit([&](size_t i) {
+        AnnotatedRow ar;
+        ar.row = std::move(gathered[gi++]);
+        if (raw_ints) {
           size_t frag = 0;
           if (!pcol->IsNull(i)) {
             auto it = std::upper_bound(int_bounds.begin(), int_bounds.end(),
-                                       pv[i]);
+                                       pcol->ints()[i]);
             if (it != int_bounds.begin()) {
               frag = static_cast<size_t>(it - int_bounds.begin()) - 1;
               if (frag >= num_fragments) frag = num_fragments - 1;
@@ -127,16 +127,11 @@ Result<AnnotatedRelation> IncScan::Build(const DeltaContext& ctx) {
           }
           ar.sketch.Resize(annot.total_fragments());
           ar.sketch.Set(annot.offset() + frag);
-          out.rows.push_back(std::move(ar));
-        });
-        continue;
-      }
-      for (Tuple& row : gathered) {
-        AnnotatedRow ar;
-        ar.row = std::move(row);
-        annot.AnnotateRow(ar.row, &ar.sketch);
+        } else if (pcol != nullptr) {
+          annot.Annotate(pcol->GetValue(i), &ar.sketch);
+        }
         out.rows.push_back(std::move(ar));
-      }
+      });
     }
     return out;
   }
@@ -144,7 +139,11 @@ Result<AnnotatedRelation> IncScan::Build(const DeltaContext& ctx) {
   snap->ForEachRow([&](const Tuple& row) {
     if (filter_ && !filter_->Eval(row).IsTrue()) return;
     AnnotatedRow ar;
-    ar.row = row;
+    if (cols == nullptr) {
+      ar.row = row;
+    } else {
+      for (size_t c : *cols) ar.row.push_back(row[c]);
+    }
     annot.AnnotateRow(row, &ar.sketch);
     out.rows.push_back(std::move(ar));
   });
@@ -264,6 +263,13 @@ Tuple IncProject::ProjectRow(const Tuple& row) const {
 }
 
 Result<AnnotatedRelation> IncProject::Build(const DeltaContext& ctx) {
+  const IncScan* scan = children_[0]->AsIncScan();
+  if (proj_cols_valid_ && scan != nullptr) {
+    IMP_ASSIGN_OR_RETURN(AnnotatedRelation out,
+                         scan->BuildColumns(ctx, &proj_cols_));
+    out.schema = output_schema_;
+    return out;
+  }
   IMP_ASSIGN_OR_RETURN(AnnotatedRelation in, children_[0]->Build(ctx));
   AnnotatedRelation out;
   out.schema = output_schema_;

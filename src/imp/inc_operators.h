@@ -78,9 +78,18 @@ class IncScan final : public IncOperator {
           const PartitionCatalog* catalog, Schema schema,
           MaintainStats* stats, bool vectorized = true);
 
-  Result<AnnotatedRelation> Build(const DeltaContext&) override;
+  Result<AnnotatedRelation> Build(const DeltaContext& ctx) override {
+    return BuildColumns(ctx, nullptr);
+  }
   Result<DeltaBatch> Process(const DeltaContext& ctx) override;
   const IncScan* AsIncScan() const override { return this; }
+
+  /// Build whose rows carry only the `cols` table columns, in that order
+  /// (nullptr: all of them) — a parent projection of column references
+  /// fused into the scan, so the dropped columns are never boxed. Rows
+  /// are annotated from the table's partition column either way.
+  Result<AnnotatedRelation> BuildColumns(
+      const DeltaContext& ctx, const std::vector<size_t>* cols) const;
 
   /// Columnar hand-off for a filterless vectorized scan: pin the round's
   /// snapshot (`*pinned` keeps it alive when the context has no view) and

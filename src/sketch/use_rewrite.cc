@@ -15,6 +15,9 @@ ExprPtr SketchScanPredicate(const PartitionCatalog& catalog,
                                part->bounds().front().type());
 
   // Merge runs of adjacent fragments into single intervals (footnote 2).
+  // FragmentOf clamps values outside [bounds.front(), bounds.back()] into
+  // the first and last fragment, so a run touching either end leaves that
+  // side open. (Both ends selected means every fragment: returned above.)
   std::vector<ExprPtr> disjuncts;
   size_t i = 0;
   while (i < local.size()) {
@@ -22,10 +25,13 @@ ExprPtr SketchScanPredicate(const PartitionCatalog& catalog,
     while (j + 1 < local.size() && local[j + 1] == local[j] + 1) ++j;
     auto lo = part->FragmentBounds(local[i]);
     auto hi = part->FragmentBounds(local[j]);
-    ExprPtr ge = MakeBinary(BinaryOp::kGe, attr, MakeLiteral(lo.lo));
-    ExprPtr ub = MakeBinary(hi.inclusive_hi ? BinaryOp::kLe : BinaryOp::kLt,
-                            attr, MakeLiteral(hi.hi));
-    disjuncts.push_back(MakeBinary(BinaryOp::kAnd, std::move(ge), std::move(ub)));
+    ExprPtr ge = local[i] == 0
+                     ? nullptr
+                     : MakeBinary(BinaryOp::kGe, attr, MakeLiteral(lo.lo));
+    ExprPtr lt = hi.inclusive_hi
+                     ? nullptr
+                     : MakeBinary(BinaryOp::kLt, attr, MakeLiteral(hi.hi));
+    disjuncts.push_back(MakeConjunction({std::move(ge), std::move(lt)}));
     i = j + 1;
   }
   return MakeDisjunction(std::move(disjuncts));

@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "algebra/prune.h"
 #include "sql/parser.h"
 
 namespace imp {
@@ -633,7 +634,8 @@ Result<BoundStatement> Binder::Bind(const Statement& stmt) const {
   out.kind = stmt.kind;
   switch (stmt.kind) {
     case Statement::Kind::kSelect: {
-      IMP_ASSIGN_OR_RETURN(out.query, BindSelect(*stmt.select));
+      IMP_ASSIGN_OR_RETURN(PlanPtr plan, BindSelect(*stmt.select));
+      out.query = PruneColumns(plan);
       return out;
     }
     case Statement::Kind::kInsert: {
@@ -708,7 +710,8 @@ Result<BoundStatement> Binder::Bind(const Statement& stmt) const {
 
 Result<PlanPtr> Binder::BindQuery(const std::string& sql) const {
   IMP_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
-  return BindSelect(*stmt);
+  IMP_ASSIGN_OR_RETURN(PlanPtr plan, BindSelect(*stmt));
+  return PruneColumns(plan);
 }
 
 Result<BoundStatement> Binder::BindSql(const std::string& sql) const {

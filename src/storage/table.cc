@@ -30,13 +30,17 @@ Tuple DataChunk::GetRow(size_t row) const {
   return out;
 }
 
-std::vector<Tuple> DataChunk::GatherRows(const BitVector& sel) const {
+std::vector<Tuple> DataChunk::GatherRows(
+    const BitVector& sel, const std::vector<size_t>* cols) const {
   std::vector<uint32_t> idx;
   idx.reserve(sel.Count());
   sel.ForEachSetBit([&](size_t r) { idx.push_back(static_cast<uint32_t>(r)); });
+  const size_t width = cols ? cols->size() : columns_.size();
   std::vector<Tuple> out(idx.size());
-  for (Tuple& t : out) t.assign(columns_.size(), Value());
-  for (size_t c = 0; c < columns_.size(); ++c) columns_[c].Gather(idx, c, &out);
+  for (Tuple& t : out) t.assign(width, Value());
+  for (size_t c = 0; c < width; ++c) {
+    columns_[cols ? (*cols)[c] : c].Gather(idx, c, &out);
+  }
   return out;
 }
 
@@ -366,26 +370,34 @@ std::vector<Tuple> Table::DeleteWhereLimit(
     const std::function<bool(const Tuple&)>& pred, size_t limit) {
   std::vector<Tuple> removed;
   std::vector<std::shared_ptr<DataChunk>> kept;
-  size_t kept_rows = 0;
-  for (const auto& chunk : chunks_) {
+  kept.reserve(chunks_.size());
+  for (std::shared_ptr<DataChunk>& chunk : chunks_) {
+    // Only a chunk with a match is rewritten (off to the side: pinned
+    // snapshots keep the old one). Every other chunk keeps its pointer, so
+    // the next snapshot shares it together with its cached index shards.
+    std::shared_ptr<DataChunk> rewritten;
     for (size_t r = 0; r < chunk->num_rows(); ++r) {
+      if (rewritten == nullptr && removed.size() >= limit) break;
       Tuple row = chunk->GetRow(r);
       if (removed.size() < limit && pred(row)) {
+        if (rewritten == nullptr) {
+          rewritten =
+              std::make_shared<DataChunk>(schema_.size(), typed_columns_);
+          for (size_t k = 0; k < r; ++k) rewritten->AppendRow(chunk->GetRow(k));
+        }
         removed.push_back(std::move(row));
-        continue;
+      } else if (rewritten != nullptr) {
+        rewritten->AppendRow(row);
       }
-      if (kept.empty() || kept.back()->Full()) {
-        kept.push_back(
-            std::make_shared<DataChunk>(schema_.size(), typed_columns_));
-      }
-      kept.back()->AppendRow(row);
-      ++kept_rows;
+    }
+    if (rewritten == nullptr) {
+      kept.push_back(std::move(chunk));
+    } else if (rewritten->num_rows() > 0) {
+      kept.push_back(std::move(rewritten));
     }
   }
-  // The rebuilt chunks replace the old ones wholesale; snapshots pinned by
-  // concurrent readers keep the old chunks alive until the last pin drops.
   chunks_ = std::move(kept);
-  num_rows_ = kept_rows;
+  num_rows_ -= removed.size();
   return removed;
 }
 

@@ -33,9 +33,10 @@
 //   Writers are serialized per table by the Database's write stripe (one
 //   mutex per table, never taken by readers). Appends copy-on-write the
 //   tail chunk when a published snapshot still shares it, so published
-//   chunk data is physically immutable; deletes rebuild the chunk list off
-//   to the side. PublishSnapshot() then swaps in a fresh snapshot whose
-//   epoch strictly increases — the monotonicity witness tests assert.
+//   chunk data is physically immutable; deletes rewrite the chunks they
+//   touch off to the side. PublishSnapshot() then swaps in a fresh
+//   snapshot whose epoch strictly increases — the monotonicity witness
+//   tests assert.
 #ifndef IMP_STORAGE_TABLE_H_
 #define IMP_STORAGE_TABLE_H_
 
@@ -114,8 +115,10 @@ class DataChunk {
   Tuple GetRow(size_t row) const;
 
   /// Materialize the selected rows column-at-a-time (ascending row order —
-  /// the same order a GetRow-per-set-bit loop would produce).
-  std::vector<Tuple> GatherRows(const BitVector& sel) const;
+  /// the same order a GetRow-per-set-bit loop would produce). With `cols`,
+  /// each tuple holds only those columns, in that order.
+  std::vector<Tuple> GatherRows(
+      const BitVector& sel, const std::vector<size_t>* cols = nullptr) const;
 
   const ColumnVector& column(size_t col) const { return columns_[col]; }
 
@@ -344,9 +347,10 @@ class Table {
   /// chunk first when a published snapshot still shares it.
   void AppendRow(const Tuple& row);
 
-  /// Remove all rows matching `pred`; returns the removed rows. Rebuilds
-  /// the chunk storage off to the side (delete is rare relative to scans
-  /// in the workloads); pinned snapshots keep the old chunks alive.
+  /// Remove all rows matching `pred`; returns the removed rows in storage
+  /// order. Rewrites only the chunks holding a match, off to the side
+  /// (pinned snapshots keep the old ones alive); untouched chunks, and the
+  /// index shards cached on them, carry over to the next snapshot.
   std::vector<Tuple> DeleteWhere(
       const std::function<bool(const Tuple&)>& pred);
 

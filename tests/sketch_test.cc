@@ -184,8 +184,8 @@ TEST_F(CaptureTest, UseRewriteSkipsDataAndPreservesResult) {
 }
 
 TEST_F(CaptureTest, AdjacentRangesMerge) {
-  // Sketch {ρ3, ρ4} merges into one BETWEEN-style interval (footnote 2):
-  // price >= 1001 AND price <= 10000.
+  // Sketch {ρ3, ρ4} merges into one interval (footnote 2): price >= 1001,
+  // open above because ρ4 is the last fragment.
   ProvenanceSketch sketch;
   sketch.fragments = BitVector(4);
   sketch.fragments.Set(2);
@@ -204,6 +204,7 @@ TEST_F(CaptureTest, AdjacentRangesMerge) {
   EXPECT_FALSE(matches(1000));
   EXPECT_TRUE(matches(1001));
   EXPECT_TRUE(matches(10000));
+  EXPECT_TRUE(matches(99999));
 }
 
 TEST_F(CaptureTest, FullSketchMeansNoPredicate) {
@@ -221,6 +222,41 @@ TEST_F(CaptureTest, EmptySketchFiltersEverything) {
   Tuple row{Value::Int(0), Value::String(""), Value::String(""),
             Value::Int(500), Value::Int(0)};
   EXPECT_FALSE(pred->Eval(row).IsTrue());
+}
+
+TEST(UseRewriteTest, OutOfDomainValuesStayInEndFragments) {
+  // FragmentOf clamps values below/above the partition domain into the
+  // first/last fragment; the rewrite must not drop them.
+  Database db;
+  Schema schema;
+  schema.AddColumn("a", ValueType::kInt);
+  schema.AddColumn("b", ValueType::kInt);
+  ASSERT_TRUE(db.CreateTable("t", schema).ok());
+  std::vector<Tuple> rows;
+  for (int64_t b : {-5, 0, 50, 700, 1450, 1500, 1600}) {
+    rows.push_back({Value::Int(b % 7), Value::Int(b)});
+  }
+  ASSERT_TRUE(db.BulkLoad("t", rows).ok());
+  PartitionCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Register(RangePartition::EquiWidthInt("t", "b", 1, 0, 1500, 3))
+          .ok());
+
+  PlanPtr plan = MustBind(db, "SELECT a, b FROM t WHERE b < 100 OR b > 1400");
+  CaptureEngine capture(&db, &catalog);
+  auto sketch = capture.Capture(plan);
+  ASSERT_TRUE(sketch.ok());
+  EXPECT_EQ(sketch.value().fragments.SetBits(), (std::vector<size_t>{0, 2}));
+
+  PlanPtr rewritten = ApplyUseRewrite(plan, catalog, sketch.value());
+  Executor exec(&db);
+  auto full = exec.Execute(plan);
+  auto skipped = exec.Execute(rewritten);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(skipped.ok());
+  EXPECT_EQ(full.value().size(), 6u);
+  EXPECT_TRUE(full.value().SameBag(skipped.value()))
+      << full.value().ToString() << skipped.value().ToString();
 }
 
 // ---- Safety analysis -------------------------------------------------------------

@@ -66,6 +66,72 @@ TEST(TableTest, DeleteWhereLimit) {
   EXPECT_EQ(t.NumRows(), 93u);
 }
 
+TEST(TableTest, DeleteKeepsRowOrderAcrossChunks) {
+  // Reference: the rows that survive, in storage order, and the removed
+  // rows in storage order — what a full re-append produced before.
+  Table t("t", TwoColSchema());
+  const size_t n = DataChunk::kDefaultCapacity * 3 + 100;
+  for (size_t i = 0; i < n; ++i) {
+    t.AppendRow(Row(static_cast<int64_t>(i), static_cast<int64_t>(i % 997)));
+  }
+  auto pred = [](const Tuple& row) {
+    return row[1] == Value::Int(5) || row[0] == Value::Int(4096);
+  };
+  for (size_t limit : {size_t{3}, SIZE_MAX}) {
+    std::vector<Tuple> expect_kept, expect_removed;
+    t.ForEachRow([&](const Tuple& row) {
+      if (expect_removed.size() < limit && pred(row)) {
+        expect_removed.push_back(row);
+      } else {
+        expect_kept.push_back(row);
+      }
+    });
+    std::vector<Tuple> removed = t.DeleteWhereLimit(pred, limit);
+    EXPECT_EQ(removed, expect_removed);
+    std::vector<Tuple> kept;
+    t.ForEachRow([&](const Tuple& row) { kept.push_back(row); });
+    EXPECT_EQ(kept, expect_kept);
+    EXPECT_EQ(t.NumRows(), expect_kept.size());
+  }
+}
+
+TEST(TableSnapshotTest, DeleteKeepsUntouchedChunksAndShards) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", TwoColSchema()).ok());
+  std::vector<Tuple> rows;
+  const size_t n = DataChunk::kDefaultCapacity * 3;
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back(Row(static_cast<int64_t>(i), static_cast<int64_t>(i)));
+  }
+  ASSERT_TRUE(db.BulkLoad("t", rows).ok());
+  const Table* table = db.GetTable("t");
+  std::shared_ptr<const TableSnapshot> before = table->Snapshot();
+  ASSERT_EQ(before->chunks().size(), 3u);
+  // Materialize the point index shards on every chunk.
+  EXPECT_EQ(before->IndexProbe(0, Value::Int(7)).size(), 1u);
+
+  // Delete one row from the middle chunk only.
+  const int64_t victim = static_cast<int64_t>(DataChunk::kDefaultCapacity) + 3;
+  ASSERT_TRUE(db.Delete("t", [&](const Tuple& row) {
+                  return row[0] == Value::Int(victim);
+                }).ok());
+  std::shared_ptr<const TableSnapshot> after = table->Snapshot();
+  ASSERT_EQ(after->chunks().size(), 3u);
+  EXPECT_EQ(after->chunks()[0], before->chunks()[0]);
+  EXPECT_NE(after->chunks()[1], before->chunks()[1]);
+  EXPECT_EQ(after->chunks()[2], before->chunks()[2]);
+  EXPECT_EQ(after->num_rows(), n - 1);
+
+  // The untouched chunks still carry their shards: re-probing builds one
+  // shard (the rewritten chunk) and reuses the other two.
+  const uint64_t built = table->index_stats().shards_built.load();
+  const uint64_t reused = table->index_stats().shards_reused.load();
+  EXPECT_TRUE(after->IndexProbe(0, Value::Int(victim)).empty());
+  EXPECT_EQ(after->IndexProbe(0, Value::Int(victim + 1)).size(), 1u);
+  EXPECT_EQ(table->index_stats().shards_built.load() - built, 1u);
+  EXPECT_EQ(table->index_stats().shards_reused.load() - reused, 2u);
+}
+
 TEST(TableTest, ColumnMinMax) {
   Table t("t", TwoColSchema());
   for (int64_t i = 0; i < 50; ++i) t.AppendRow(Row(i, 100 - i));
